@@ -10,8 +10,8 @@
 //!   --faults N    maximum faults per case (default 3)
 //!   --fuzz N      also run N differential-fuzz cases per harness
 //!   --threads N   fan cases out over N fleet workers (0 = host
-//!                 parallelism, the default; 1 = sequential). The
-//!                 report is byte-identical at every thread count.
+//!                 parallelism, the default). The report is
+//!                 byte-identical at every thread count.
 //!   --recover     supervise injected runs: detected kills roll back to
 //!                 a checkpoint and replay; byte-identical survivors
 //!                 grade `recovered` (default off)

@@ -4,10 +4,11 @@
 //! Each case draws (from the campaign seed alone) a workload set, a
 //! victim, and a [`FaultPlan`]; runs the set once clean to get a
 //! **baseline**; then replays it with the [`Injector`] attached and
-//! classifies the divergence ([`Outcome`]). Baselines are cached per
-//! workload set, and every random draw is pinned to the seed, so the
+//! classifies the divergence ([`Outcome`]). Baselines are computed once
+//! per workload set, and every random draw is pinned to the seed, so the
 //! whole campaign — including the JSON artifact — is replayable
-//! byte-for-byte.
+//! byte-for-byte. The fleet driver in [`crate::parallel`] schedules
+//! these pieces; [`run_campaign`] runs it on one worker.
 
 use crate::fault::FaultPlan;
 use crate::inject::Injector;
@@ -15,12 +16,10 @@ use crate::report::{CaseResult, ChaosReport, FaultRecord, Outcome};
 use mips_core::Program;
 use mips_hll::{compile_mips, CodegenOptions};
 use mips_os::{
-    kernel_program, Engine, Kernel, KernelConfig, OsError, ProcStatus, RestartPolicy, RunReport,
-    SupervisorConfig,
+    Engine, Kernel, KernelConfig, OsError, ProcStatus, RestartPolicy, RunReport, SupervisorConfig,
 };
 use mips_qc::Rng;
 use mips_reorg::{reorganize, ReorgOptions};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Campaign parameters.
@@ -206,7 +205,7 @@ pub(crate) struct Baseline {
 /// mid-state rng (advanced past the workload draw, about to generate
 /// the fault plan). Splitting the draw from the run is what lets the
 /// fleet executor run cases in any order while every random decision
-/// stays pinned to `(seed, case)` exactly as in the sequential path.
+/// stays pinned to `(seed, case)`.
 #[derive(Debug, Clone)]
 pub(crate) struct CasePlan {
     pub(crate) case: u64,
@@ -280,36 +279,15 @@ fn case_rng(seed: u64, case: u64) -> Rng {
     Rng::new(seed ^ case.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Runs a full campaign sequentially. The fleet-backed path
-/// ([`crate::parallel::run_campaign_threaded`]) emits byte-identical
-/// reports because both share `plan_case`, `compute_baseline`, and
-/// `run_planned_case`; only the schedule differs.
+/// Runs a full campaign on one fleet worker: the driver of
+/// [`crate::parallel::run_campaign_threaded`], whose report is
+/// byte-identical at every worker count.
 pub fn run_campaign(cfg: &CampaignConfig) -> ChaosReport {
-    let pool = standard_pool();
-    let klen = kernel_program().len() as u32;
-    let mut baselines: HashMap<Vec<usize>, Baseline> = HashMap::new();
-    let cases = (0..cfg.cases)
-        .map(|i| {
-            let plan = plan_case(cfg, i, pool.len());
-            let base = baselines
-                .entry(plan.chosen.clone())
-                .or_insert_with(|| compute_baseline(&pool, &plan.chosen, cfg.engine))
-                .clone();
-            run_planned_case(cfg, plan, &pool, klen, &base)
-        })
-        .collect();
-    ChaosReport {
-        seed: cfg.seed,
-        max_faults: cfg.max_faults,
-        recover: cfg.recover,
-        net: None,
-        cases,
-    }
+    crate::parallel::run_campaign_threaded(cfg, 1)
 }
 
 /// Runs one planned case against its precomputed baseline — the
-/// self-contained unit both the sequential loop and the fleet
-/// executor schedule.
+/// self-contained unit the fleet executor schedules.
 pub(crate) fn run_planned_case(
     cfg: &CampaignConfig,
     plan_state: CasePlan,

@@ -63,11 +63,11 @@ pub enum FaultKind {
     DroppedInterrupt,
     /// Scribble a garbage acknowledge into the interrupt controller's
     /// MMIO port.
-    MmioAckGarbage { value: u32 },
+    PortAckGarbage { value: u32 },
     /// Scribble a garbage mapping through the map unit's MMIO port:
     /// select page `(victim<<8)|page_low`, map it to frame
     /// `(victim<<8)|frame_low`.
-    MmioMapGarbage { page_low: u8, frame_low: u8 },
+    PortMapGarbage { page_low: u8, frame_low: u8 },
 }
 
 /// Surprise-register bits the chaos engine may flip: INT_EN (2),
@@ -90,8 +90,8 @@ impl FaultKind {
             FaultKind::PageMapCorrupt { .. } => "page-map",
             FaultKind::SpuriousInterrupt { .. } => "spurious-int",
             FaultKind::DroppedInterrupt => "dropped-int",
-            FaultKind::MmioAckGarbage { .. } => "mmio-ack",
-            FaultKind::MmioMapGarbage { .. } => "mmio-map",
+            FaultKind::PortAckGarbage { .. } => "mmio-ack",
+            FaultKind::PortMapGarbage { .. } => "mmio-map",
         }
     }
 
@@ -121,7 +121,7 @@ impl FaultKind {
             self,
             FaultKind::RegFlip { .. }
                 | FaultKind::SurpriseFlip { .. }
-                | FaultKind::MmioMapGarbage { .. }
+                | FaultKind::PortMapGarbage { .. }
         )
     }
 }
@@ -145,8 +145,8 @@ impl fmt::Display for FaultKind {
                 write!(f, "spurious-int device {device}")
             }
             FaultKind::DroppedInterrupt => write!(f, "dropped-int"),
-            FaultKind::MmioAckGarbage { value } => write!(f, "mmio-ack value {value}"),
-            FaultKind::MmioMapGarbage {
+            FaultKind::PortAckGarbage { value } => write!(f, "mmio-ack value {value}"),
+            FaultKind::PortMapGarbage {
                 page_low,
                 frame_low,
             } => {
@@ -221,10 +221,10 @@ fn arb_kind(rng: &mut Rng) -> FaultKind {
             device: rng.u32(1..8),
         },
         5 => FaultKind::DroppedInterrupt,
-        6 => FaultKind::MmioAckGarbage {
+        6 => FaultKind::PortAckGarbage {
             value: rng.u32(0..32),
         },
-        _ => FaultKind::MmioMapGarbage {
+        _ => FaultKind::PortMapGarbage {
             page_low: rng.u8(0..16),
             frame_low: rng.u8(0..16),
         },

@@ -23,9 +23,9 @@
 //!
 //! A case's outcome is the worst of its nodes' outcomes; the report's
 //! `net` section carries the per-node counts. Everything is a pure
-//! function of `(seed, case)`, and the fleet-parallel path reuses the
-//! same per-case function, so the JSON artifact is byte-identical at
-//! every thread count — CI replays the pinned seed and diffs bytes.
+//! function of `(seed, case)`, and the one driver runs the cases on the
+//! fleet, so the JSON artifact is byte-identical at every thread count
+//! — CI replays the pinned seed and diffs bytes.
 //!
 //! With [`NetCampaignConfig::failover`] set, every case instead runs
 //! the [`mips_net::failover`] workload: three symmetric members with
@@ -517,17 +517,11 @@ fn baseline_index(shape: Shape) -> usize {
     }
 }
 
-/// Runs the distributed campaign sequentially.
+/// Runs the distributed campaign on one fleet worker: the driver of
+/// [`run_net_campaign_threaded`], whose report is byte-identical at
+/// every worker count.
 pub fn run_net_campaign(cfg: &NetCampaignConfig) -> ChaosReport {
-    let baselines = compute_baselines(cfg);
-    let cases: Vec<CaseResult> = (0..cfg.cases)
-        .map(|case| {
-            let base = &baselines[baseline_index(Shape::of(cfg, case))];
-            let (shape, plan) = plan_case(cfg, case, base.rounds);
-            run_net_case(cfg, case, shape, &plan, base)
-        })
-        .collect();
-    assemble(cfg, cases)
+    run_net_campaign_threaded(cfg, 1)
 }
 
 struct NetCaseWork {
@@ -546,12 +540,9 @@ impl FleetWork for NetCaseWork {
 }
 
 /// Runs the distributed campaign with cases fanned out over `threads`
-/// fleet workers (0 = host parallelism, 1 = sequential). Byte-
-/// identical to [`run_net_campaign`] at every thread count.
+/// fleet workers (0 = host parallelism). Byte-identical at every
+/// thread count.
 pub fn run_net_campaign_threaded(cfg: &NetCampaignConfig, threads: usize) -> ChaosReport {
-    if threads == 1 {
-        return run_net_campaign(cfg);
-    }
     let baselines = compute_baselines(cfg);
     let jobs: Vec<NetCaseWork> = (0..cfg.cases)
         .map(|case| {
@@ -628,16 +619,16 @@ mod tests {
     }
 
     #[test]
-    fn threaded_net_campaigns_match_sequential_byte_for_byte() {
+    fn net_campaigns_match_the_one_worker_report_byte_for_byte() {
         let cfg = NetCampaignConfig {
             cases: 6,
             ..small()
         };
-        let sequential = run_net_campaign(&cfg).to_json();
+        let one = run_net_campaign_threaded(&cfg, 1).to_json();
         for threads in [2, 4] {
             assert_eq!(
                 run_net_campaign_threaded(&cfg, threads).to_json(),
-                sequential,
+                one,
                 "{threads} workers diverged"
             );
         }
@@ -680,17 +671,19 @@ mod tests {
     /// The failover campaign is byte-identical across fleet widths,
     /// like the v1 campaign.
     #[test]
-    fn threaded_failover_campaigns_match_sequential_byte_for_byte() {
+    fn failover_campaigns_match_the_one_worker_report_byte_for_byte() {
         let cfg = NetCampaignConfig {
             cases: 3,
             ..small_failover()
         };
-        let sequential = run_net_campaign(&cfg).to_json();
-        assert_eq!(
-            run_net_campaign_threaded(&cfg, 2).to_json(),
-            sequential,
-            "2 workers diverged"
-        );
+        let one = run_net_campaign_threaded(&cfg, 1).to_json();
+        for threads in [2, 4] {
+            assert_eq!(
+                run_net_campaign_threaded(&cfg, threads).to_json(),
+                one,
+                "{threads} workers diverged"
+            );
+        }
     }
 
     #[test]

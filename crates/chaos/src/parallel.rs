@@ -4,16 +4,16 @@
 //! its workload draw, fault plan, and kernel run — so it maps directly
 //! onto [`mips_fleet`]'s work-stealing pool: each case becomes a
 //! [`FleetWork`] job, results come back keyed by case id, and the
-//! assembled [`ChaosReport`] is **byte-identical to the sequential
-//! path** (same `plan_case`/`compute_baseline`/`run_planned_case`
-//! functions, same values, different schedule).
+//! assembled [`ChaosReport`] is **byte-identical at every worker
+//! count** (`run_ordered` places results by submission id, and every
+//! value is a pure function of the seed). This is the campaign's only
+//! driver; [`crate::run_campaign`] runs it on one worker.
 //!
 //! Two fleet phases:
 //!
 //! 1. **Baselines** — the distinct workload sets, in first-appearance
-//!    order, each run clean once (the sequential path computes the
-//!    same set lazily; the values are pure functions of `(set,
-//!    engine)`, so precomputing changes nothing).
+//!    order, each run clean once (the values are pure functions of
+//!    `(set, engine)`).
 //! 2. **Cases** — every case with its baseline attached, fanned out
 //!    across the workers. The per-case `catch_unwind` inside
 //!    `run_planned_case` still converts a host panic into
@@ -62,13 +62,10 @@ impl FleetWork for CaseWork {
 }
 
 /// Runs a campaign with its cases fanned out over `threads` fleet
-/// workers (0 = the host's available parallelism, 1 = the sequential
-/// path). The report — including its JSON serialization — is
-/// byte-identical to [`crate::run_campaign`] at every thread count.
+/// workers (0 = the host's available parallelism). The report —
+/// including its JSON serialization — is byte-identical at every
+/// thread count.
 pub fn run_campaign_threaded(cfg: &CampaignConfig, threads: usize) -> ChaosReport {
-    if threads == 1 {
-        return crate::campaign::run_campaign(cfg);
-    }
     let pool = Arc::new(standard_pool());
     let klen = kernel_program().len() as u32;
 
@@ -126,17 +123,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn threaded_campaigns_match_the_sequential_report_byte_for_byte() {
+    fn campaigns_match_the_one_worker_report_byte_for_byte() {
         let cfg = CampaignConfig {
             seed: 0x51,
             cases: 6,
             max_faults: 2,
             ..CampaignConfig::default()
         };
-        let sequential = crate::campaign::run_campaign(&cfg).to_json();
+        let one = run_campaign_threaded(&cfg, 1).to_json();
         for threads in [2, 4] {
             let fleet = run_campaign_threaded(&cfg, threads).to_json();
-            assert_eq!(fleet, sequential, "{threads} workers diverged");
+            assert_eq!(fleet, one, "{threads} workers diverged");
         }
     }
 
@@ -151,7 +148,7 @@ mod tests {
         };
         assert_eq!(
             run_campaign_threaded(&cfg, 3).to_json(),
-            crate::campaign::run_campaign(&cfg).to_json()
+            run_campaign_threaded(&cfg, 1).to_json()
         );
     }
 }

@@ -22,11 +22,11 @@
 //! and skew mixes). Host timing never leaks into a result; latency is
 //! measured outside the result stream by the `mips-serve` front-end.
 //!
-//! Migrating whole machines across workers is what forced the `Send`
-//! audit of `mips-sim`/`mips-os`: the shared device handles
-//! (`Rc<RefCell<…>>`) became [`mips_sim::Shared`] cells, and every
-//! MMIO device boxed into a machine is `Send`. The compile-time
-//! assertions in `tests/send.rs` pin that property.
+//! Migrating whole machines across workers needs `Machine` and
+//! `Kernel` to be `Send`. They are by plain ownership: every device
+//! is a field of the machine's bus, reached through `&`/`&mut`
+//! accessors, with no shared handle or lock in between. The
+//! compile-time assertions in `tests/send.rs` pin that property.
 //!
 //! ## Pieces
 //!

@@ -54,10 +54,11 @@ pub struct CcGenOptions {
 ///
 /// # Errors
 ///
-/// Front-end errors.
+/// Front-end errors, and an expression too deep for the temporary
+/// pool.
 pub fn compile_cc(src: &str, opts: &CcGenOptions) -> Result<CcProgram, CompileError> {
     let prog = crate::front_end(src)?;
-    Ok(gen_cc(&prog, opts))
+    gen_cc(&prog, opts)
 }
 
 /// Word-allocated size (packed ignored: the CC baseline is word
@@ -70,7 +71,12 @@ fn size_words(ty: &Ty) -> u32 {
 }
 
 /// Generates CC-machine code for a checked program.
-pub fn gen_cc(prog: &HProgram, opts: &CcGenOptions) -> CcProgram {
+///
+/// # Errors
+///
+/// A [`CompileError`] naming the temporary pool when an expression
+/// needs more than its six registers at once.
+pub fn gen_cc(prog: &HProgram, opts: &CcGenOptions) -> Result<CcProgram, CompileError> {
     let mut g = CcGen {
         prog,
         opts: *opts,
@@ -83,9 +89,16 @@ pub fn gen_cc(prog: &HProgram, opts: &CcGenOptions) -> CcProgram {
         result_slot: None,
         routine: 0,
         pending: Vec::new(),
+        exhausted: false,
     };
     g.program();
-    g.b.finish().expect("generated labels are consistent")
+    if g.exhausted {
+        return Err(CompileError::new(
+            0,
+            "expression too complex: the 6-register CC temporary pool is exhausted",
+        ));
+    }
+    Ok(g.b.finish().expect("generated labels are consistent"))
 }
 
 struct CcGen<'p> {
@@ -101,11 +114,18 @@ struct CcGen<'p> {
     routine: usize,
     /// Saved live-register sets around calls.
     pending: Vec<Vec<CcReg>>,
+    /// An `acquire` found the temporary pool empty.
+    exhausted: bool,
 }
 
 impl<'p> CcGen<'p> {
     fn acquire(&mut self) -> CcReg {
-        self.free.pop().expect("cc temp pool exhausted")
+        // On exhaustion, record it and hand back a stand-in so
+        // generation can finish; `gen_cc` reports the error.
+        self.free.pop().unwrap_or_else(|| {
+            self.exhausted = true;
+            TEMPS[0]
+        })
     }
 
     fn release(&mut self, r: CcReg) {

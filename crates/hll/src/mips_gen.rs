@@ -98,17 +98,29 @@ impl CodegenOptions {
 ///
 /// # Errors
 ///
-/// Front-end errors ([`CompileError`]).
+/// Front-end errors ([`CompileError`]), and an expression too deep
+/// for the temporary pool.
 pub fn compile_mips(src: &str, opts: &CodegenOptions) -> Result<LinearCode, CompileError> {
     let prog = crate::front_end(src)?;
-    Ok(gen_program(&prog, opts))
+    gen_program(&prog, opts)
 }
 
 /// Generates code for a checked program.
-pub fn gen_program(prog: &HProgram, opts: &CodegenOptions) -> LinearCode {
+///
+/// # Errors
+///
+/// A [`CompileError`] naming the temporary pool when an expression
+/// needs more than its seven registers at once.
+pub fn gen_program(prog: &HProgram, opts: &CodegenOptions) -> Result<LinearCode, CompileError> {
     let mut g = Gen::new(prog, opts);
     g.program();
-    g.out
+    if g.pool.exhausted {
+        return Err(CompileError::new(
+            0,
+            "expression too complex: the 7-register temporary pool is exhausted",
+        ));
+    }
+    Ok(g.out)
 }
 
 /// Caller-saved expression temporaries (r0 acquired first, like the
@@ -129,6 +141,8 @@ const PROMOTE: [Reg; 6] = [Reg::R5, Reg::R6, Reg::R7, Reg::R8, Reg::R9, Reg::R10
 struct TempPool {
     free: Vec<Reg>,
     in_use: Vec<Reg>,
+    /// An `acquire` found the pool empty; the program cannot compile.
+    exhausted: bool,
 }
 
 impl TempPool {
@@ -138,14 +152,17 @@ impl TempPool {
         TempPool {
             free,
             in_use: Vec::new(),
+            exhausted: false,
         }
     }
 
     fn acquire(&mut self) -> Reg {
-        let r = self
-            .free
-            .pop()
-            .expect("expression too complex: temporary pool exhausted");
+        let Some(r) = self.free.pop() else {
+            // Record it and hand back a stand-in so generation can
+            // finish; `gen_program` reports the error and drops the code.
+            self.exhausted = true;
+            return POOL[0];
+        };
         self.in_use.push(r);
         r
     }
@@ -298,7 +315,10 @@ impl<'p> Gen<'p> {
     fn routine(&mut self, idx: usize) {
         self.routine = idx;
         let r = &self.prog.routines[idx];
-        self.pool = TempPool::new();
+        self.pool = TempPool {
+            exhausted: self.pool.exhausted,
+            ..TempPool::new()
+        };
 
         // Frame layout: locals (non-promoted) get negative slots.
         let promoted_set = self.choose_promotions(r);

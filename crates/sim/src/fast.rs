@@ -814,8 +814,9 @@ impl Machine {
         self.pc = next;
     }
 
-    /// Translate + device-window check with no side effects beyond the
-    /// (idempotent) fault-address latch. `None` means bail.
+    /// Translate + device-window check with no side effects. `None`
+    /// means bail: a translation fault is re-taken, and latched, by the
+    /// reference `step()`.
     #[inline(always)]
     fn fast_pa(&self, va: u32, dev_floor: u32) -> Option<u32> {
         let pa = self.translate(va).ok()?;

@@ -19,6 +19,13 @@
 //!   DMA queue;
 //! * on-chip segmentation (process-id insertion, two-half address space)
 //!   plus an off-chip page-map unit reachable through MMIO (§3.1);
+//! * supervisor-only peripherals on the bus: the console, the external
+//!   interrupt controller, the page-map unit's port and a NIC. The
+//!   machine owns each one as plain state — [`Memory`] holds them and
+//!   decodes their fixed windows with one address `match` — and hosts
+//!   reach them through `&`/`&mut` accessors such as
+//!   [`Machine::page_map_mut`], [`Machine::int_ctrl_mut`],
+//!   [`Machine::nic_mut`] and [`Machine::console`];
 //! * the *surprise register* (§3.2) holding privilege, enable bits, and
 //!   the exception cause fields;
 //! * exceptions (§3.3): page faults, overflow traps, a single external
@@ -35,7 +42,7 @@
 //! errors at every observation point.
 //!
 //! The complete architectural state checkpoints into a byte-stable,
-//! versioned [`Snapshot`] (module [`snap`], format `mips-snap/v2`) and
+//! versioned [`Snapshot`] (module [`snap`], format `mips-snap/v3`) and
 //! restores with a lock-step-identical subsequent trajectory on either
 //! engine — the substrate for the OS layer's supervised
 //! checkpoint/restart.
@@ -66,7 +73,6 @@ pub mod mem;
 pub mod mmu;
 pub mod nic;
 pub mod profile;
-pub mod shared;
 pub mod snap;
 pub mod surprise;
 
@@ -76,10 +82,9 @@ pub use fast::Engine;
 pub use hazard::{Hazard, HazardKind};
 pub use machine::{Machine, MachineConfig, StopReason};
 pub use machine::{NIC_ADDR, NIC_DEVICE};
-pub use mem::{ConsolePort, IntCtrl, MapUnitPort, Memory, Mmio};
+pub use mem::{IntCtrl, Memory};
 pub use mmu::{PageMap, Segmentation, PAGE_WORDS};
-pub use nic::{Frame, Nic, NicPort, MAX_FRAME_WORDS, NIC_WINDOW, RX_RING, TX_RING};
+pub use nic::{Frame, Nic, MAX_FRAME_WORDS, NIC_WINDOW, RX_RING, TX_RING};
 pub use profile::Profile;
-pub use shared::Shared;
 pub use snap::{Snapshot, SNAP_MAGIC};
 pub use surprise::Surprise;

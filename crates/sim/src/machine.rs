@@ -29,10 +29,10 @@ use crate::error::SimError;
 use crate::except::Cause;
 use crate::fast::{Engine, FastProgram};
 use crate::hazard::{Hazard, HazardKind};
-use crate::mem::{IntCtrl, IntCtrlPort, MapUnitPort, Memory};
+use crate::mem::{IntCtrl, Memory};
 use crate::mmu::{PageMap, Segmentation};
+use crate::nic::{Frame, Nic};
 use crate::profile::Profile;
-use crate::shared::Shared;
 use crate::surprise::Surprise;
 use mips_core::delay::{BRANCH_DELAY, INDIRECT_DELAY};
 use mips_core::word::MEM_WORDS;
@@ -53,18 +53,11 @@ pub mod traps {
     pub const PUTINT: u16 = 2;
 }
 
-/// Physical base address of the NIC port window
-/// ([`crate::nic::NIC_WINDOW`] words).
-pub const NIC_ADDR: u32 = MEM_WORDS - 64;
+pub use crate::mem::{CONSOLE_ADDR, INTCTRL_ADDR, MAPUNIT_ADDR, NIC_ADDR};
+
 /// Interrupt-controller device line the NIC's delivery doorbell raises
 /// (the timer conventionally takes line 0).
 pub const NIC_DEVICE: u32 = 1;
-/// Physical address of the interrupt-controller port (one word).
-pub const INTCTRL_ADDR: u32 = MEM_WORDS - 16;
-/// Physical base address of the page-map-unit port (three words).
-pub const MAPUNIT_ADDR: u32 = MEM_WORDS - 8;
-/// Physical address of the console output port (one word).
-pub const CONSOLE_ADDR: u32 = MEM_WORDS - 4;
 
 /// Simulator configuration.
 #[derive(Debug, Clone)]
@@ -218,10 +211,6 @@ pub struct Machine {
     pub(crate) load_in_flight: Option<(Reg, u32)>,
     pub(crate) pending: PendingSet,
     pub(crate) mem: Memory,
-    pub(crate) page_map: Option<Shared<PageMap>>,
-    pub(crate) fault_addr: Shared<u32>,
-    pub(crate) int_ctrl: Option<Shared<IntCtrl>>,
-    pub(crate) nic: Option<Shared<crate::nic::Nic>>,
     pub(crate) irq_line: bool,
     pub(crate) timer: Option<Timer>,
     pub(crate) halted: bool,
@@ -285,10 +274,6 @@ impl Machine {
             load_in_flight: None,
             pending: PendingSet::default(),
             mem: Memory::new(),
-            page_map: None,
-            fault_addr: Shared::new(0),
-            int_ctrl: None,
-            nic: None,
             irq_line: false,
             timer: None,
             halted: false,
@@ -370,34 +355,21 @@ impl Machine {
         self.cert_elided
     }
 
-    /// Installs the off-chip page-map unit and its MMIO port. Mapping
-    /// takes effect when the surprise register's map-enable bit is set.
-    pub fn attach_page_map(&mut self, map: PageMap) -> Shared<PageMap> {
-        let shared = Shared::new(map);
-        self.mem.add_device(
-            MAPUNIT_ADDR,
-            3,
-            Box::new(MapUnitPort::new(shared.clone(), self.fault_addr.clone())),
-        );
-        self.page_map = Some(shared.clone());
-        shared
+    /// Installs the off-chip page-map unit over `map`. Mapping takes
+    /// effect when the surprise register's map-enable bit is set.
+    pub fn attach_page_map(&mut self, map: PageMap) {
+        self.mem.attach_map_unit(map);
     }
 
-    /// Installs the external interrupt controller and its MMIO port.
-    pub fn attach_int_ctrl(&mut self) -> Shared<IntCtrl> {
-        let ctrl = IntCtrl::new();
-        self.mem
-            .add_device(INTCTRL_ADDR, 1, Box::new(IntCtrlPort(ctrl.clone())));
-        self.int_ctrl = Some(ctrl.clone());
-        ctrl
+    /// Installs the external interrupt controller.
+    pub fn attach_int_ctrl(&mut self) {
+        self.mem.attach_int_ctrl();
     }
 
-    /// Installs the console output peripheral; returns the shared byte
-    /// buffer it writes into.
-    pub fn attach_console(&mut self) -> Shared<Vec<u8>> {
-        let (port, buf) = crate::mem::ConsolePort::new();
-        self.mem.add_device(CONSOLE_ADDR, 1, Box::new(port));
-        buf
+    /// Installs the console output peripheral. It records every word
+    /// written to its port; read it back with [`Machine::console`].
+    pub fn attach_console(&mut self) {
+        self.mem.attach_console();
     }
 
     /// Asserts/deasserts the raw interrupt line (alternative to a
@@ -414,44 +386,51 @@ impl Machine {
     /// at the next enabled instruction boundary. Periods shorter than the
     /// software's dispatch-plus-handler path will starve user progress —
     /// exactly as on the real machine.
-    pub fn attach_timer(&mut self, period: u64, device: u32) -> Shared<IntCtrl> {
-        let ctrl = match &self.int_ctrl {
-            Some(c) => c.clone(),
-            None => self.attach_int_ctrl(),
-        };
+    pub fn attach_timer(&mut self, period: u64, device: u32) {
+        self.mem.attach_int_ctrl();
         let period = period.max(1);
         self.timer = Some(Timer {
             period,
             device,
             next_fire: period,
         });
-        ctrl
     }
 
-    /// Installs the network interface for fabric address `node` and its
-    /// MMIO window, installing the interrupt controller if absent so
-    /// deliveries can raise the [`NIC_DEVICE`] doorbell. Returns the
-    /// shared device handle the host fabric collects from and delivers
-    /// into.
-    pub fn attach_nic(&mut self, node: u32) -> Shared<crate::nic::Nic> {
-        let ctrl = match &self.int_ctrl {
-            Some(c) => c.clone(),
-            None => self.attach_int_ctrl(),
+    /// Installs the network interface for fabric address `node`,
+    /// installing the interrupt controller if absent so deliveries can
+    /// raise the [`NIC_DEVICE`] doorbell.
+    pub fn attach_nic(&mut self, node: u32) {
+        self.mem.attach_int_ctrl();
+        self.mem.attach_nic(node);
+    }
+
+    /// Delivers a frame from the fabric into the NIC's RX ring and
+    /// raises the [`NIC_DEVICE`] doorbell on the interrupt controller.
+    ///
+    /// # Errors
+    ///
+    /// The frame itself when the RX ring is full or no NIC is attached:
+    /// the caller retains it (backpressure, never a silent drop).
+    pub fn deliver_frame(&mut self, frame: Frame) -> Result<(), Frame> {
+        let Some(nic) = &mut self.mem.nic else {
+            return Err(frame);
         };
-        let nic = crate::nic::Nic::new(node, Some(ctrl), NIC_DEVICE);
-        self.mem.add_device(
-            NIC_ADDR,
-            crate::nic::NIC_WINDOW,
-            Box::new(crate::nic::NicPort(nic.clone())),
-        );
-        self.nic = Some(nic.clone());
-        nic
+        nic.deliver(frame)?;
+        if let Some(ctrl) = &mut self.mem.int_ctrl {
+            ctrl.raise(NIC_DEVICE);
+        }
+        Ok(())
     }
 
-    /// The attached NIC, if any (shared handle; the host fabric collects
-    /// committed frames and delivers incoming ones through it).
-    pub fn nic(&self) -> Option<Shared<crate::nic::Nic>> {
-        self.nic.clone()
+    /// The attached NIC, if any.
+    pub fn nic(&self) -> Option<&Nic> {
+        self.mem.nic.as_ref()
+    }
+
+    /// The attached NIC, mutably (the host fabric collects committed
+    /// frames through it).
+    pub fn nic_mut(&mut self) -> Option<&mut Nic> {
+        self.mem.nic.as_mut()
     }
 
     /// The three exception return addresses `ret0..ret2` (privileged
@@ -460,16 +439,37 @@ impl Machine {
         self.ret
     }
 
-    /// The attached interrupt controller, if any (shared handle; fault
-    /// injectors raise and drop device requests through it).
-    pub fn int_ctrl(&self) -> Option<Shared<IntCtrl>> {
-        self.int_ctrl.clone()
+    /// The attached interrupt controller, if any.
+    pub fn int_ctrl(&self) -> Option<&IntCtrl> {
+        self.mem.int_ctrl.as_ref()
     }
 
-    /// The attached page map, if any (shared handle; fault injectors
-    /// corrupt entries through it).
-    pub fn page_map(&self) -> Option<Shared<PageMap>> {
-        self.page_map.clone()
+    /// The attached interrupt controller, mutably (fault injectors
+    /// raise and drop device requests through it).
+    pub fn int_ctrl_mut(&mut self) -> Option<&mut IntCtrl> {
+        self.mem.int_ctrl.as_mut()
+    }
+
+    /// The attached page map, if any.
+    pub fn page_map(&self) -> Option<&PageMap> {
+        self.mem.map_unit.as_ref().map(|u| &u.map)
+    }
+
+    /// The attached page map, mutably (fault injectors corrupt entries
+    /// and supervisors drop a rolled-back process's pages through it).
+    pub fn page_map_mut(&mut self) -> Option<&mut PageMap> {
+        self.mem.map_unit.as_mut().map(|u| &mut u.map)
+    }
+
+    /// Every word written to the attached console, in order.
+    pub fn console(&self) -> Option<&[u32]> {
+        self.mem.console.as_deref()
+    }
+
+    /// The attached console's record, mutably (runtimes rewind it with
+    /// their checkpoints; it is not part of a [`crate::Snapshot`]).
+    pub fn console_mut(&mut self) -> Option<&mut Vec<u32>> {
+        self.mem.console.as_mut()
     }
 
     /// Raises an exception from outside the instruction stream, exactly
@@ -584,36 +584,42 @@ impl Machine {
     pub(crate) fn interrupt_line(&self) -> bool {
         self.irq_line
             || self
+                .mem
                 .int_ctrl
                 .as_ref()
-                .is_some_and(|c| c.borrow().line_asserted())
+                .is_some_and(IntCtrl::line_asserted)
     }
 
-    /// Translates a data address to a physical word address.
-    pub(crate) fn translate(&self, va: u32) -> Result<u32, (Cause, u16)> {
+    /// Translates a data address to a physical word address. A fault
+    /// returns the address the map unit's fault latch should hold: the
+    /// virtual address for a segmentation fault, the mapped address for
+    /// a missing page.
+    pub(crate) fn translate(&self, va: u32) -> Result<u32, u32> {
         if !self.surprise.map_enable() {
             return Ok(va & (MEM_WORDS - 1));
         }
-        let mapped = match self.seg.translate(va) {
-            Some(m) => m,
-            None => {
-                *self.fault_addr.borrow_mut() = va;
-                return Err((Cause::PageFault, va as u16));
-            }
-        };
-        match &self.page_map {
-            Some(pm) => match pm.borrow().translate(mapped) {
+        let mapped = self.seg.translate(va).ok_or(va)?;
+        match &self.mem.map_unit {
+            Some(unit) => match unit.map.translate(mapped) {
                 // A corrupted map entry can point past physical memory;
                 // the bus has no word there, so the access faults like a
                 // missing page and the fault handler gets to re-map it.
                 Some(pa) if pa < MEM_WORDS => Ok(pa),
-                _ => {
-                    *self.fault_addr.borrow_mut() = mapped;
-                    Err((Cause::PageFault, mapped as u16))
-                }
+                _ => Err(mapped),
             },
             None => Ok(mapped),
         }
+    }
+
+    /// `translate` for the reference path: a fault latches
+    /// its address in the map unit and becomes a page-fault exception.
+    fn translate_or_fault(&mut self, va: u32) -> Result<u32, (Cause, u16)> {
+        self.translate(va).map_err(|addr| {
+            if let Some(unit) = &mut self.mem.map_unit {
+                unit.fault_addr = addr;
+            }
+            (Cause::PageFault, addr as u16)
+        })
     }
 
     /// Computes the next three execution addresses starting at `start`
@@ -753,12 +759,12 @@ impl Machine {
                     if ea & 3 != 0 {
                         return Err((Cause::AddressError, ea as u16));
                     }
-                    let pa = self.translate(ea >> 2)?;
+                    let pa = self.translate_or_fault(ea >> 2)?;
                     self.device_guard(pa)?;
                     Ok(self.mem.read(pa))
                 }
                 Width::Byte => {
-                    let pa = self.translate(ea >> 2)?;
+                    let pa = self.translate_or_fault(ea >> 2)?;
                     self.device_guard(pa)?;
                     let w = self.mem.read(pa);
                     Ok(mips_core::word::extract_byte(w, ea & 3))
@@ -768,7 +774,7 @@ impl Machine {
             if width == Width::Byte {
                 return Err((Cause::Illegal, 0));
             }
-            let pa = self.translate(ea)?;
+            let pa = self.translate_or_fault(ea)?;
             self.device_guard(pa)?;
             Ok(self.mem.read(pa))
         }
@@ -781,14 +787,14 @@ impl Machine {
                     if ea & 3 != 0 {
                         return Err((Cause::AddressError, ea as u16));
                     }
-                    let pa = self.translate(ea >> 2)?;
+                    let pa = self.translate_or_fault(ea >> 2)?;
                     self.device_guard(pa)?;
                     self.mem.write(pa, v);
                 }
                 Width::Byte => {
                     // Byte stores need the extra read the paper charges
                     // against byte addressing: read-modify-write the word.
-                    let pa = self.translate(ea >> 2)?;
+                    let pa = self.translate_or_fault(ea >> 2)?;
                     self.device_guard(pa)?;
                     let w = self.mem.read(pa);
                     self.mem
@@ -799,7 +805,7 @@ impl Machine {
             if width == Width::Byte {
                 return Err((Cause::Illegal, 0));
             }
-            let pa = self.translate(ea)?;
+            let pa = self.translate_or_fault(ea)?;
             self.device_guard(pa)?;
             self.mem.write(pa, v);
         }
@@ -869,9 +875,9 @@ impl Machine {
         // The timer is part of the instruction-boundary sample: its raise
         // is visible to the very interrupt check below, keeping tick
         // arrival a pure function of the executed-instruction count.
-        if let (Some(t), Some(ctrl)) = (&mut self.timer, &self.int_ctrl) {
+        if let (Some(t), Some(ctrl)) = (&mut self.timer, &mut self.mem.int_ctrl) {
             if self.profile.instructions >= t.next_fire {
-                ctrl.borrow_mut().raise(t.device);
+                ctrl.raise(t.device);
                 t.next_fire += t.period;
             }
         }

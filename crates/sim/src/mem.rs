@@ -1,5 +1,5 @@
-//! Physical word-addressed memory, memory-mapped devices, and the DMA
-//! engine that consumes *free memory cycles*.
+//! Physical word-addressed memory — the bus — with its memory-mapped
+//! devices and the DMA engine that consumes *free memory cycles*.
 //!
 //! "Since memory cycles are allocated to instructions, just as ALU or
 //! register access resources, an instruction that did not include a load
@@ -9,24 +9,34 @@
 //! write-backs." (paper §3.1)
 //!
 //! [`Memory`] is a sparse paged store of 32-bit words over the 24-bit
-//! physical space, with device windows ([`Mmio`]) overlaid on it and a DMA
-//! queue that the machine drains one transfer per free cycle.
+//! physical space. It owns the bus's devices as plain optional fields —
+//! the console, the interrupt controller ([`IntCtrl`]), the page-map
+//! unit and the NIC ([`crate::nic::Nic`]) — each at a fixed window at
+//! the top of physical memory ([`NIC_ADDR`], [`INTCTRL_ADDR`],
+//! [`MAPUNIT_ADDR`], [`CONSOLE_ADDR`]). An access below the lowest
+//! attached window goes straight to RAM; one at or above it is decoded
+//! with one `match` on the address. A window whose device is not
+//! attached is plain RAM, as is every gap between windows. The machine
+//! makes the windows supervisor-only.
 
 use crate::mmu::PageMap;
-use crate::shared::Shared;
+use crate::nic::{Nic, NIC_WINDOW};
+use mips_core::word::MEM_WORDS;
 use std::collections::{HashMap, VecDeque};
 
 const PAGE: u32 = 4096;
 
-/// A memory-mapped device occupying a window of physical addresses.
-///
-/// Reads and writes receive the word offset within the device's window.
-pub trait Mmio {
-    /// Reads the device register at `off`.
-    fn read(&mut self, off: u32) -> u32;
-    /// Writes the device register at `off`.
-    fn write(&mut self, off: u32, value: u32);
-}
+/// Physical base address of the NIC window ([`NIC_WINDOW`] words).
+pub const NIC_ADDR: u32 = MEM_WORDS - 64;
+/// Physical address of the interrupt-controller port (one word).
+pub const INTCTRL_ADDR: u32 = MEM_WORDS - 16;
+/// Physical base address of the page-map-unit port (three words).
+pub const MAPUNIT_ADDR: u32 = MEM_WORDS - 8;
+/// Physical address of the console output port (one word).
+pub const CONSOLE_ADDR: u32 = MEM_WORDS - 4;
+
+const NIC_LAST: u32 = NIC_ADDR + NIC_WINDOW - 1;
+const MAPUNIT_LAST: u32 = MAPUNIT_ADDR + 2;
 
 /// A queued DMA transfer, serviced by one free memory cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,17 +56,17 @@ pub enum Dma {
     },
 }
 
-struct Device {
-    base: u32,
-    len: u32,
-    dev: Box<dyn Mmio + Send>,
-}
-
-/// The physical memory system: sparse word storage, device windows, and
-/// the DMA queue.
+/// The physical memory system: sparse word storage, the attached
+/// devices, and the DMA queue.
 pub struct Memory {
     pages: HashMap<u32, Box<[u32; PAGE as usize]>>,
-    devices: Vec<Device>,
+    /// Lowest address of any attached window (`u32::MAX` with none).
+    floor: u32,
+    /// The console: every word written to its port, in order.
+    pub(crate) console: Option<Vec<u32>>,
+    pub(crate) int_ctrl: Option<IntCtrl>,
+    pub(crate) map_unit: Option<MapUnit>,
+    pub(crate) nic: Option<Nic>,
     dma_queue: VecDeque<Dma>,
     dma_read_log: Vec<u32>,
     /// Data-memory reads performed (excludes DMA).
@@ -75,7 +85,7 @@ impl std::fmt::Debug for Memory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Memory")
             .field("resident_pages", &self.pages.len())
-            .field("devices", &self.devices.len())
+            .field("device_floor", &self.floor)
             .field("dma_queued", &self.dma_queue.len())
             .field("reads", &self.reads)
             .field("writes", &self.writes)
@@ -84,11 +94,15 @@ impl std::fmt::Debug for Memory {
 }
 
 impl Memory {
-    /// Creates an empty memory (all words read as zero).
+    /// Creates an empty memory (all words read as zero, no devices).
     pub fn new() -> Memory {
         Memory {
             pages: HashMap::new(),
-            devices: Vec::new(),
+            floor: u32::MAX,
+            console: None,
+            int_ctrl: None,
+            map_unit: None,
+            nic: None,
             dma_queue: VecDeque::new(),
             dma_read_log: Vec::new(),
             reads: 0,
@@ -96,28 +110,52 @@ impl Memory {
         }
     }
 
-    fn device_index(&self, pa: u32) -> Option<usize> {
-        self.devices
-            .iter()
-            .position(|d| pa >= d.base && pa < d.base + d.len)
+    /// Installs the console (keeping its record if already attached).
+    pub(crate) fn attach_console(&mut self) {
+        self.console.get_or_insert_with(Vec::new);
+        self.floor = self.floor.min(CONSOLE_ADDR);
     }
 
-    /// Whether `pa` falls inside a device window (device windows are
-    /// supervisor-only; the machine enforces that).
+    /// Installs the interrupt controller (keeping its pending mask if
+    /// already attached).
+    pub(crate) fn attach_int_ctrl(&mut self) {
+        self.int_ctrl.get_or_insert_with(IntCtrl::default);
+        self.floor = self.floor.min(INTCTRL_ADDR);
+    }
+
+    /// Installs the page-map unit over `map`, with both latches clear.
+    pub(crate) fn attach_map_unit(&mut self, map: PageMap) {
+        self.map_unit = Some(MapUnit {
+            map,
+            selected: 0,
+            fault_addr: 0,
+        });
+        self.floor = self.floor.min(MAPUNIT_ADDR);
+    }
+
+    /// Installs a NIC for fabric address `node`.
+    pub(crate) fn attach_nic(&mut self, node: u32) {
+        self.nic = Some(Nic::new(node));
+        self.floor = self.floor.min(NIC_ADDR);
+    }
+
+    /// Whether `pa` falls inside an attached device's window (device
+    /// windows are supervisor-only; the machine enforces that).
     pub fn is_device(&self, pa: u32) -> bool {
-        self.device_index(pa).is_some()
+        pa >= self.floor
+            && match pa {
+                NIC_ADDR..=NIC_LAST => self.nic.is_some(),
+                INTCTRL_ADDR => self.int_ctrl.is_some(),
+                MAPUNIT_ADDR..=MAPUNIT_LAST => self.map_unit.is_some(),
+                CONSOLE_ADDR => self.console.is_some(),
+                _ => false,
+            }
     }
 
-    /// The lowest address of any device window (`u32::MAX` with no
-    /// devices): addresses below it can skip the window scan entirely.
-    /// Devices sit at the top of physical memory in every standard
-    /// configuration, so this one compare filters nearly all traffic.
+    /// The lowest address of any attached window (`u32::MAX` with no
+    /// devices): addresses below it go straight to RAM.
     pub fn device_floor(&self) -> u32 {
-        self.devices
-            .iter()
-            .map(|d| d.base)
-            .min()
-            .unwrap_or(u32::MAX)
+        self.floor
     }
 
     /// Every nonzero word as sorted `(address, value)` pairs — a cheap
@@ -138,40 +176,48 @@ impl Memory {
         out
     }
 
-    /// Maps a device window at `[base, base+len)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window overlaps an existing device.
-    pub fn add_device(&mut self, base: u32, len: u32, dev: Box<dyn Mmio + Send>) {
-        for d in &self.devices {
-            assert!(
-                base + len <= d.base || base >= d.base + d.len,
-                "device window overlap at {base:#x}"
-            );
-        }
-        self.devices.push(Device { base, len, dev });
-    }
-
     /// Reads the word at physical address `pa` (counted as a memory
-    /// cycle). Device windows dispatch to the device.
+    /// cycle). Attached device windows answer for their device.
     pub fn read(&mut self, pa: u32) -> u32 {
         self.reads += 1;
-        if let Some(i) = self.device_index(pa) {
-            let off = pa - self.devices[i].base;
-            return self.devices[i].dev.read(off);
+        if pa >= self.floor {
+            let port = match pa {
+                NIC_ADDR..=NIC_LAST => self.nic.as_ref().map(|n| n.read(pa - NIC_ADDR)),
+                INTCTRL_ADDR => self
+                    .int_ctrl
+                    .as_ref()
+                    .map(|c| c.highest_pending().map_or(0, |d| d + 1)),
+                MAPUNIT_ADDR..=MAPUNIT_LAST => {
+                    self.map_unit.as_ref().map(|u| u.read(pa - MAPUNIT_ADDR))
+                }
+                CONSOLE_ADDR => self.console.as_ref().map(|c| c.len() as u32),
+                _ => None,
+            };
+            if let Some(v) = port {
+                return v;
+            }
         }
         self.peek(pa)
     }
 
     /// Writes the word at physical address `pa` (counted as a memory
-    /// cycle).
+    /// cycle). Attached device windows go to their device.
     pub fn write(&mut self, pa: u32, value: u32) {
         self.writes += 1;
-        if let Some(i) = self.device_index(pa) {
-            let off = pa - self.devices[i].base;
-            self.devices[i].dev.write(off, value);
-            return;
+        if pa >= self.floor {
+            let port = match pa {
+                NIC_ADDR..=NIC_LAST => self.nic.as_mut().map(|n| n.write(pa - NIC_ADDR, value)),
+                INTCTRL_ADDR => self.int_ctrl.as_mut().map(|c| c.clear(value)),
+                MAPUNIT_ADDR..=MAPUNIT_LAST => self
+                    .map_unit
+                    .as_mut()
+                    .map(|u| u.write(pa - MAPUNIT_ADDR, value)),
+                CONSOLE_ADDR => self.console.as_mut().map(|c| c.push(value)),
+                _ => None,
+            };
+            if port.is_some() {
+                return;
+            }
         }
         self.poke(pa, value);
     }
@@ -219,8 +265,8 @@ impl Memory {
         self.dma_read_log = read_log;
     }
 
-    /// Drops every stored RAM word (device windows stay attached). Used
-    /// by snapshot restore before re-poking the captured image.
+    /// Drops every stored RAM word (devices stay attached). Used by
+    /// snapshot restore before re-poking the captured image.
     pub(crate) fn clear_ram(&mut self) {
         self.pages.clear();
     }
@@ -251,7 +297,7 @@ impl Memory {
 /// external prioritization logic to determine which device was requesting
 /// service." (paper §3.3)
 ///
-/// Register window (one word):
+/// Register window (one word at [`INTCTRL_ADDR`]):
 ///
 /// * read `+0` — id of the highest-priority pending device **plus one**
 ///   (0 = no device pending);
@@ -262,11 +308,6 @@ pub struct IntCtrl {
 }
 
 impl IntCtrl {
-    /// Creates a controller with no pending devices.
-    pub fn new() -> Shared<IntCtrl> {
-        Shared::new(IntCtrl::default())
-    }
-
     /// A device (0–31) requests service; asserts the interrupt line.
     pub fn raise(&mut self, device: u32) {
         self.pending |= 1 << (device & 31);
@@ -299,56 +340,32 @@ impl IntCtrl {
     }
 }
 
-/// MMIO adapter sharing an [`IntCtrl`].
-#[derive(Debug)]
-pub struct IntCtrlPort(pub Shared<IntCtrl>);
-
-impl Mmio for IntCtrlPort {
-    fn read(&mut self, _off: u32) -> u32 {
-        match self.0.borrow().highest_pending() {
-            Some(d) => d + 1,
-            None => 0,
-        }
-    }
-
-    fn write(&mut self, _off: u32, value: u32) {
-        self.0.borrow_mut().clear(value);
-    }
-}
-
-/// MMIO port of the off-chip page-map unit, letting the (supervisor-mode)
-/// page-fault handler manipulate the map from MIPS code.
+/// The off-chip page-map unit: the [`PageMap`] the machine translates
+/// through, plus the two latches of its port, so the (supervisor-mode)
+/// page-fault handler can manipulate the map from MIPS code.
 ///
-/// Register window (three words):
+/// Register window (three words at [`MAPUNIT_ADDR`]):
 ///
 /// * `+0` read — the mapped (24-bit) address of the last fault;
-///   `+0` write — select a virtual page number for a following map/unmap;
+///   `+0` write — select a virtual page number for a following map;
 /// * `+1` read — number of resident pages;
 ///   `+1` write — map the selected page to the written frame number;
 /// * `+2` write — unmap the written virtual page number.
 #[derive(Debug)]
-pub struct MapUnitPort {
-    map: Shared<PageMap>,
-    fault_addr: Shared<u32>,
-    selected: u32,
+pub(crate) struct MapUnit {
+    pub(crate) map: PageMap,
+    /// The page-select latch (`+0` write).
+    pub(crate) selected: u32,
+    /// The fault-address latch (`+0` read), set when a translation
+    /// faults on the reference path.
+    pub(crate) fault_addr: u32,
 }
 
-impl MapUnitPort {
-    /// Creates a port over a shared page map and fault-address latch.
-    pub fn new(map: Shared<PageMap>, fault_addr: Shared<u32>) -> MapUnitPort {
-        MapUnitPort {
-            map,
-            fault_addr,
-            selected: 0,
-        }
-    }
-}
-
-impl Mmio for MapUnitPort {
-    fn read(&mut self, off: u32) -> u32 {
+impl MapUnit {
+    fn read(&self, off: u32) -> u32 {
         match off {
-            0 => *self.fault_addr.borrow(),
-            1 => self.map.borrow().len() as u32,
+            0 => self.fault_addr,
+            1 => self.map.len() as u32,
             _ => 0,
         }
     }
@@ -357,10 +374,10 @@ impl Mmio for MapUnitPort {
         match off {
             0 => self.selected = value,
             1 => {
-                self.map.borrow_mut().map(self.selected, value);
+                self.map.map(self.selected, value);
             }
             2 => {
-                self.map.borrow_mut().unmap(value);
+                self.map.unmap(value);
             }
             _ => {}
         }
@@ -397,40 +414,6 @@ mod tests {
         assert_eq!(m.peek(PAGE * 1000 + 5), 3);
     }
 
-    struct Echo(u32);
-    impl Mmio for Echo {
-        fn read(&mut self, off: u32) -> u32 {
-            self.0 + off
-        }
-        fn write(&mut self, _off: u32, value: u32) {
-            self.0 = value;
-        }
-    }
-
-    #[test]
-    fn devices_shadow_ram() {
-        let mut m = Memory::new();
-        m.poke(0x50, 99);
-        m.add_device(0x50, 2, Box::new(Echo(10)));
-        assert!(m.is_device(0x50));
-        assert!(m.is_device(0x51));
-        assert!(!m.is_device(0x52));
-        assert_eq!(m.read(0x50), 10);
-        assert_eq!(m.read(0x51), 11);
-        m.write(0x50, 77);
-        assert_eq!(m.read(0x50), 77);
-        // RAM behind the window is untouched
-        assert_eq!(m.peek(0x50), 99);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlap")]
-    fn overlapping_devices_rejected() {
-        let mut m = Memory::new();
-        m.add_device(0x50, 4, Box::new(Echo(0)));
-        m.add_device(0x52, 4, Box::new(Echo(0)));
-    }
-
     #[test]
     fn dma_queue_services_in_order() {
         let mut m = Memory::new();
@@ -447,78 +430,48 @@ mod tests {
 
     #[test]
     fn int_ctrl_priority_and_ack() {
-        let c = IntCtrl::new();
-        assert!(!c.borrow().line_asserted());
-        c.borrow_mut().raise(5);
-        c.borrow_mut().raise(2);
-        assert!(c.borrow().line_asserted());
-        assert_eq!(c.borrow().highest_pending(), Some(2));
-        let mut port = IntCtrlPort(c.clone());
-        assert_eq!(port.read(0), 3); // device 2, plus one
-        port.write(0, 2); // ack device 2
-        assert_eq!(c.borrow().highest_pending(), Some(5));
-        port.write(0, 5);
-        assert!(!c.borrow().line_asserted());
-        assert_eq!(port.read(0), 0);
+        let mut m = Memory::new();
+        m.attach_int_ctrl();
+        let c = m.int_ctrl.as_mut().unwrap();
+        assert!(!c.line_asserted());
+        c.raise(5);
+        c.raise(2);
+        assert!(c.line_asserted());
+        assert_eq!(c.highest_pending(), Some(2));
+        assert_eq!(m.read(INTCTRL_ADDR), 3); // device 2, plus one
+        m.write(INTCTRL_ADDR, 2); // ack device 2
+        assert_eq!(m.int_ctrl.as_ref().unwrap().highest_pending(), Some(5));
+        m.write(INTCTRL_ADDR, 5);
+        assert!(!m.int_ctrl.as_ref().unwrap().line_asserted());
+        assert_eq!(m.read(INTCTRL_ADDR), 0);
     }
 
     #[test]
     fn map_unit_port_updates_shared_map() {
-        let map = Shared::new(PageMap::new());
-        let fault = Shared::new(0xabcd_u32);
-        let mut port = MapUnitPort::new(map.clone(), fault.clone());
-        assert_eq!(port.read(0), 0xabcd);
-        assert_eq!(port.read(1), 0);
-        port.write(0, 3); // select vpage 3
-        port.write(1, 9); // map to frame 9
-        assert_eq!(port.read(1), 1);
+        let mut m = Memory::new();
+        m.attach_map_unit(PageMap::new());
+        m.map_unit.as_mut().unwrap().fault_addr = 0xabcd;
+        assert_eq!(m.read(MAPUNIT_ADDR), 0xabcd);
+        assert_eq!(m.read(MAPUNIT_ADDR + 1), 0);
+        m.write(MAPUNIT_ADDR, 3); // select vpage 3
+        m.write(MAPUNIT_ADDR + 1, 9); // map to frame 9
+        assert_eq!(m.read(MAPUNIT_ADDR + 1), 1);
+        let map = &m.map_unit.as_ref().unwrap().map;
         assert_eq!(
-            map.borrow().translate(3 * crate::mmu::PAGE_WORDS),
+            map.translate(3 * crate::mmu::PAGE_WORDS),
             Some(9 * crate::mmu::PAGE_WORDS)
         );
-        port.write(2, 3); // unmap
-        assert!(map.borrow().is_empty());
+        m.write(MAPUNIT_ADDR + 2, 3); // unmap
+        assert!(m.map_unit.as_ref().unwrap().map.is_empty());
     }
-}
-
-/// A console output peripheral on the virtual address bus ("any
-/// peripherals on the virtual address bus must be protected from user
-/// level processes" — device windows are supervisor-only, so user code
-/// reaches the console through a monitor call).
-///
-/// Register window (one word): write `+0` — emit the low byte; read `+0`
-/// — number of bytes emitted so far.
-#[derive(Debug)]
-pub struct ConsolePort(pub Shared<Vec<u8>>);
-
-impl ConsolePort {
-    /// Creates the shared output buffer.
-    pub fn new() -> (ConsolePort, Shared<Vec<u8>>) {
-        let buf = Shared::new(Vec::new());
-        (ConsolePort(buf.clone()), buf)
-    }
-}
-
-impl Mmio for ConsolePort {
-    fn read(&mut self, _off: u32) -> u32 {
-        self.0.borrow().len() as u32
-    }
-
-    fn write(&mut self, _off: u32, value: u32) {
-        self.0.borrow_mut().push(value as u8);
-    }
-}
-
-#[cfg(test)]
-mod console_tests {
-    use super::*;
 
     #[test]
     fn console_collects_bytes() {
-        let (mut port, buf) = ConsolePort::new();
-        port.write(0, b'h' as u32);
-        port.write(0, b'i' as u32);
-        assert_eq!(port.read(0), 2);
-        assert_eq!(buf.borrow().as_slice(), b"hi");
+        let mut m = Memory::new();
+        m.attach_console();
+        m.write(CONSOLE_ADDR, b'h' as u32);
+        m.write(CONSOLE_ADDR, b'i' as u32);
+        assert_eq!(m.read(CONSOLE_ADDR), 2);
+        assert_eq!(m.console.as_deref(), Some(&[104, 105][..]));
     }
 }

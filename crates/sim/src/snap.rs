@@ -1,14 +1,14 @@
-//! Deterministic whole-machine checkpoints: the `mips-snap/v2` format.
+//! Deterministic whole-machine checkpoints: the `mips-snap/v3` format.
 //!
 //! A [`Snapshot`] captures the **complete architectural state** of a
 //! [`Machine`] — registers, special registers, the surprise register,
 //! the delayed-transfer shadow (pending branches and the in-flight
-//! load), segmentation, the page map, memory contents, DMA queue,
-//! interrupt-controller state, timer phase, console output, and every
-//! profile counter — such that `restore(snapshot(m))` produces a
-//! machine whose subsequent trajectory is lock-step identical to the
-//! original on **either** engine ([`crate::Engine::Reference`] or
-//! [`crate::Engine::Fast`]).
+//! load), segmentation, the page-map unit (map and both port latches),
+//! memory contents, DMA queue, interrupt-controller state, timer phase,
+//! trap-service output, and every profile counter — such that
+//! `restore(snapshot(m))` produces a machine whose subsequent
+//! trajectory is lock-step identical to the original on **either**
+//! engine ([`crate::Engine::Reference`] or [`crate::Engine::Fast`]).
 //!
 //! What a snapshot deliberately does *not* capture:
 //!
@@ -19,14 +19,17 @@
 //! * **host diagnostics** — the hazard record log and an armed
 //!   snapshot point are host-side observation state, not machine
 //!   state;
-//! * **device internals** — device windows stay attached to the host
-//!   objects they were built with; the restorable device-visible state
-//!   (interrupt-controller pending mask, fault-address latch, console
-//!   bytes, DMA queue/log, NIC rings and staging buffer) is captured
-//!   explicitly.
+//! * **device attachment** — which devices are attached is machine
+//!   shape, checked on restore, not captured; their restorable state
+//!   (interrupt-controller pending mask, the map unit's page-select and
+//!   fault-address latches, DMA queue/log, NIC rings and staging
+//!   buffer) is captured explicitly;
+//! * the **console device's record** — an output log the host runtime
+//!   owns and rewinds with its own checkpoints (see
+//!   [`Machine::console_mut`]).
 //!
 //! The byte encoding ([`Snapshot::to_bytes`]) is versioned (magic
-//! `mips-snap/v2`), little-endian, sorts every map it serializes, and
+//! `mips-snap/v3`), little-endian, sorts every map it serializes, and
 //! ends in an FNV-1a checksum — so identical machine states produce
 //! identical bytes across runs, engines, and hosts, and CI can diff
 //! the artifact. [`Snapshot::from_bytes`] is total: corrupted headers,
@@ -49,7 +52,7 @@ use mips_core::Reg;
 
 /// Magic prefix of every serialized snapshot; doubles as the format
 /// version.
-pub const SNAP_MAGIC: &[u8; 12] = b"mips-snap/v2";
+pub const SNAP_MAGIC: &[u8; 12] = b"mips-snap/v3";
 
 /// A complete architectural checkpoint of a [`Machine`]. See the
 /// [module docs](self) for the capture contract.
@@ -63,7 +66,6 @@ pub struct Snapshot {
     pub(crate) surprise: u32,
     pub(crate) seg: [u32; 4],
     pub(crate) ret: [u32; 3],
-    pub(crate) fault_addr: u32,
     pub(crate) halted: bool,
     pub(crate) irq_line: bool,
     pub(crate) load_in_flight: Option<(u8, u32)>,
@@ -76,9 +78,18 @@ pub struct Snapshot {
     pub(crate) output: Vec<u8>,
     pub(crate) dma_read_log: Vec<u32>,
     pub(crate) dma_queue: Vec<(u8, u32, u32)>,
-    pub(crate) page_map: Option<Vec<(u32, u32)>>,
+    pub(crate) map_unit: Option<MapUnitSnap>,
     pub(crate) nic: Option<NicSnap>,
     pub(crate) mem_words: Vec<(u32, u32)>,
+}
+
+/// The page-map unit as captured: both port latches and the resident
+/// `(page, frame)` pairs in ascending page order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct MapUnitSnap {
+    pub(crate) fault_addr: u32,
+    pub(crate) selected: u32,
+    pub(crate) pages: Vec<(u32, u32)>,
 }
 
 impl Snapshot {
@@ -87,7 +98,7 @@ impl Snapshot {
         self.profile.instructions
     }
 
-    /// Serializes to the byte-stable `mips-snap/v2` encoding: identical
+    /// Serializes to the byte-stable `mips-snap/v3` encoding: identical
     /// snapshots always produce identical bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Vec::with_capacity(256 + 8 * self.mem_words.len());
@@ -106,7 +117,6 @@ impl Snapshot {
         for &r in &self.ret {
             put32(&mut w, r);
         }
-        put32(&mut w, self.fault_addr);
         w.push(self.halted as u8);
         w.push(self.irq_line as u8);
         match self.load_in_flight {
@@ -168,19 +178,18 @@ impl Snapshot {
             put32(&mut w, addr);
             put32(&mut w, value);
         }
-        match &self.page_map {
-            Some(pages) => {
+        match &self.map_unit {
+            Some(u) => {
                 w.push(1);
-                put32(&mut w, pages.len() as u32);
-                for &(page, frame) in pages {
+                put32(&mut w, u.fault_addr);
+                put32(&mut w, u.selected);
+                put32(&mut w, u.pages.len() as u32);
+                for &(page, frame) in &u.pages {
                     put32(&mut w, page);
                     put32(&mut w, frame);
                 }
             }
-            None => {
-                w.push(0);
-                put32(&mut w, 0);
-            }
+            None => w.push(0),
         }
         match &self.nic {
             Some(n) => {
@@ -215,7 +224,7 @@ impl Snapshot {
         w
     }
 
-    /// Decodes a `mips-snap/v2` image. Total over arbitrary bytes: a
+    /// Decodes a `mips-snap/v3` image. Total over arbitrary bytes: a
     /// corrupted header, truncated body, damaged checksum, or trailing
     /// garbage returns [`SimError::BadSnapshot`] — never a panic.
     ///
@@ -227,7 +236,7 @@ impl Snapshot {
             return Err(bad("image shorter than header"));
         }
         if &bytes[..SNAP_MAGIC.len()] != SNAP_MAGIC {
-            return Err(bad("corrupted header (magic is not `mips-snap/v2`)"));
+            return Err(bad("corrupted header (magic is not `mips-snap/v3`)"));
         }
         let (body, sum_bytes) = bytes.split_at(bytes.len() - 4);
         let declared = u32::from_le_bytes(sum_bytes.try_into().unwrap());
@@ -255,7 +264,6 @@ impl Snapshot {
         for slot in &mut ret {
             *slot = r.u32()?;
         }
-        let fault_addr = r.u32()?;
         let halted = r.flag()?;
         let irq_line = r.flag()?;
         let load_present = r.flag()?;
@@ -303,13 +311,22 @@ impl Snapshot {
             }
             dma_queue.push((tag, r.u32()?, r.u32()?));
         }
-        let map_present = r.flag()?;
-        let npages = r.len32()?;
-        let mut pages = Vec::with_capacity(npages);
-        for _ in 0..npages {
-            pages.push((r.u32()?, r.u32()?));
-        }
-        let page_map = map_present.then_some(pages);
+        let map_unit = if r.flag()? {
+            let fault_addr = r.u32()?;
+            let selected = r.u32()?;
+            let npages = r.len32()?;
+            let mut pages = Vec::with_capacity(npages);
+            for _ in 0..npages {
+                pages.push((r.u32()?, r.u32()?));
+            }
+            Some(MapUnitSnap {
+                fault_addr,
+                selected,
+                pages,
+            })
+        } else {
+            None
+        };
         let nic = if r.flag()? {
             let node = r.u32()?;
             let tx_dst = r.u32()?;
@@ -364,7 +381,6 @@ impl Snapshot {
             surprise,
             seg,
             ret,
-            fault_addr,
             halted,
             irq_line,
             load_in_flight,
@@ -377,7 +393,7 @@ impl Snapshot {
             output,
             dma_read_log,
             dma_queue,
-            page_map,
+            map_unit,
             nic,
             mem_words,
         })
@@ -404,7 +420,6 @@ impl Machine {
                 self.seg.high_base,
             ],
             ret: self.ret,
-            fault_addr: *self.fault_addr.borrow(),
             halted: self.halted,
             irq_line: self.irq_line,
             load_in_flight: self.load_in_flight.map(|(r, v)| (r.index() as u8, v)),
@@ -415,7 +430,7 @@ impl Machine {
                 .map(|b| (b.slots, b.target, b.indirect))
                 .collect(),
             timer: self.timer.map(|t| (t.period, t.device, t.next_fire)),
-            int_ctrl: self.int_ctrl.as_ref().map(|c| c.borrow().pending_raw()),
+            int_ctrl: self.mem.int_ctrl.as_ref().map(|c| c.pending_raw()),
             profile: self.profile.clone(),
             mem_reads: self.mem.reads,
             mem_writes: self.mem.writes,
@@ -430,16 +445,17 @@ impl Machine {
                     Dma::Read { addr } => (1u8, addr, 0),
                 })
                 .collect(),
-            page_map: self
-                .page_map
-                .as_ref()
-                .map(|pm| pm.borrow().resident_pages()),
-            nic: self.nic.as_ref().map(|n| n.borrow().snap_state()),
+            map_unit: self.mem.map_unit.as_ref().map(|u| MapUnitSnap {
+                fault_addr: u.fault_addr,
+                selected: u.selected,
+                pages: u.map.resident_pages(),
+            }),
+            nic: self.mem.nic.as_ref().map(|n| n.snap_state()),
             mem_words: self.mem.snapshot(),
         }
     }
 
-    /// Convenience: [`Machine::snapshot`] straight to `mips-snap/v2`
+    /// Convenience: [`Machine::snapshot`] straight to `mips-snap/v3`
     /// bytes.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         self.snapshot().to_bytes()
@@ -447,7 +463,7 @@ impl Machine {
 
     /// Restores the machine to the captured state. The machine must be
     /// running the same program the snapshot was taken from and have
-    /// the same attachments (page map, interrupt controller) — shape
+    /// the same attachments (page map, interrupt controller, NIC) — shape
     /// mismatches are typed errors and leave the machine **unmodified**.
     /// After a successful restore, the subsequent trajectory is
     /// lock-step identical to the original's on either engine.
@@ -464,13 +480,13 @@ impl Machine {
         if s.program_len != self.program.instrs().len() as u32 {
             return Err(bad("program length differs from the captured one"));
         }
-        if s.int_ctrl.is_some() != self.int_ctrl.is_some() {
+        if s.int_ctrl.is_some() != self.mem.int_ctrl.is_some() {
             return Err(bad("interrupt-controller attachment differs"));
         }
-        if s.page_map.is_some() != self.page_map.is_some() {
+        if s.map_unit.is_some() != self.mem.map_unit.is_some() {
             return Err(bad("page-map attachment differs"));
         }
-        if s.nic.is_some() != self.nic.is_some() {
+        if s.nic.is_some() != self.mem.nic.is_some() {
             return Err(bad("NIC attachment differs"));
         }
         let load_in_flight = match s.load_in_flight {
@@ -490,7 +506,6 @@ impl Machine {
         self.seg.low_limit = s.seg[2];
         self.seg.high_base = s.seg[3];
         self.ret = s.ret;
-        *self.fault_addr.borrow_mut() = s.fault_addr;
         self.halted = s.halted;
         self.irq_line = s.irq_line;
         self.load_in_flight = load_in_flight;
@@ -507,8 +522,8 @@ impl Machine {
             device,
             next_fire,
         });
-        if let (Some(ctrl), Some(pending)) = (&self.int_ctrl, s.int_ctrl) {
-            ctrl.borrow_mut().set_pending_raw(pending);
+        if let (Some(ctrl), Some(pending)) = (&mut self.mem.int_ctrl, s.int_ctrl) {
+            ctrl.set_pending_raw(pending);
         }
         self.profile = s.profile.clone();
         self.output = s.output.clone();
@@ -528,15 +543,16 @@ impl Machine {
                 .collect(),
             s.dma_read_log.clone(),
         );
-        if let (Some(pm), Some(pages)) = (&self.page_map, &s.page_map) {
-            let mut pm = pm.borrow_mut();
-            pm.clear();
-            for &(page, frame) in pages {
-                pm.map(page, frame);
+        if let (Some(unit), Some(u)) = (&mut self.mem.map_unit, &s.map_unit) {
+            unit.fault_addr = u.fault_addr;
+            unit.selected = u.selected;
+            unit.map.clear();
+            for &(page, frame) in &u.pages {
+                unit.map.map(page, frame);
             }
         }
-        if let (Some(nic), Some(state)) = (&self.nic, &s.nic) {
-            nic.borrow_mut().restore_state(state);
+        if let (Some(nic), Some(state)) = (&mut self.mem.nic, &s.nic) {
+            nic.restore_state(state);
         }
         Ok(())
     }
